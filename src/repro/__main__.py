@@ -52,18 +52,15 @@ def _load_and_lift(args) -> "LiftResult":
     cache = getattr(args, "cache", None)
     cache_dir = getattr(args, "cache_dir", None)
     pointer_summaries = getattr(args, "pointer_summaries", False)
-    engine = getattr(args, "engine", "tau")
     if getattr(args, "function", None):
         return lift_function(binary, args.function, max_states=args.max_states,
                              timeout_seconds=args.timeout,
                              cache=cache, cache_dir=cache_dir,
-                             pointer_summaries=pointer_summaries,
-                             engine=engine)
+                             pointer_summaries=pointer_summaries)
     return lift(binary, max_states=args.max_states,
                 timeout_seconds=args.timeout,
                 cache=cache, cache_dir=cache_dir,
-                pointer_summaries=pointer_summaries,
-                engine=engine)
+                pointer_summaries=pointer_summaries)
 
 
 def _run_cache(args) -> int:
@@ -195,13 +192,7 @@ def _run_profile(args) -> int:
     else:
         title = (f"Profile: {result.binary.name} "
                  f"(entry {result.entry:#x})")
-        opcode_stats = None
-        if getattr(args, "engine", "tau") == "uop":
-            from repro.uop import opcode_stats as uop_opcode_stats
-
-            opcode_stats = uop_opcode_stats()
-        text = render_profile(profile, title=title,
-                              opcode_stats=opcode_stats)
+        text = render_profile(profile, title=title)
 
     if args.output:
         with open(args.output, "w") as handle:
@@ -272,10 +263,6 @@ def main(argv=None) -> int:
     parser.add_argument("--cache-dir", default=None,
                         help="lift-store directory (default REPRO_CACHE_DIR "
                              "or ~/.cache/repro-lift)")
-    parser.add_argument("--engine", choices=["tau", "uop"], default="tau",
-                        help="transfer engine: tau (reference tree-walker) "
-                             "or uop (compiled micro-op interpreter); both "
-                             "produce identical verdicts")
     parser.add_argument("--pointer-summaries", action="store_true",
                         dest="pointer_summaries",
                         help="two-phase lift: feed pointer call-site "

@@ -55,17 +55,6 @@ def main(argv=None) -> int:
     parser.add_argument("--serve-workers", type=int, default=2,
                         help="serve A/B: daemon worker-pool size "
                              "(default 2)")
-    parser.add_argument("--engine", choices=["tau", "uop"], default="tau",
-                        help="transfer engine for corpus lifting: tau "
-                             "(reference tree-walker) or uop (compiled "
-                             "micro-op interpreter; default tau)")
-    parser.add_argument("--engine-ab", action="store_true",
-                        help="bench: also run the tau-vs-uop engine A/B "
-                             "(interleaved rounds, byte-identity gates, "
-                             "cold-path transfer throughput)")
-    parser.add_argument("--ab-rounds", type=int, default=2,
-                        help="engine A/B: interleaved measurement rounds "
-                             "(default 2)")
     parser.add_argument("--sampling", type=int, default=None,
                         help="obs: record 1 in N high-frequency events "
                              "(default: the obs layer's default)")
@@ -124,7 +113,7 @@ def main(argv=None) -> int:
 
         _, text = generate_table1(scale=args.scale,
                                   timeout_seconds=args.timeout,
-                                  jobs=args.jobs, engine=args.engine)
+                                  jobs=args.jobs)
         print(text)
     if args.what in ("table2", "all"):
         from repro.eval.table2 import generate_table2
@@ -136,7 +125,7 @@ def main(argv=None) -> int:
 
         _, text = generate_figure3(scale=args.scale,
                                    timeout_seconds=args.timeout,
-                                   jobs=args.jobs, engine=args.engine)
+                                   jobs=args.jobs)
         print(text)
     if args.what == "scaling":
         from repro.eval.scaling import format_scaling, run_scaling
@@ -175,8 +164,6 @@ def main(argv=None) -> int:
             check_summaries=args.summaries_ab,
             check_profile=args.profile,
             check_serve=args.serve_ab,
-            check_engine=args.engine_ab,
-            engine_rounds=args.ab_rounds,
             serve_workers=args.serve_workers,
             history_dir=history_dir,
             out_path=args.out,
@@ -222,22 +209,6 @@ def main(argv=None) -> int:
                   "or the duplicate lift was not answered from the store",
                   file=sys.stderr)
             return 1
-        engine = payload.get("engine")
-        if engine is not None:
-            if not (engine["reports_identical"]
-                    and engine["reports_identical_jobs2"]):
-                print("bench: tau and uop canonical reports differ (or uop "
-                      "serial vs jobs=2 differ)", file=sys.stderr)
-                return 1
-            if not engine["compile_cold_each_round"]:
-                print("bench: uop compile-table warmth leaked across "
-                      "engine A/B rounds", file=sys.stderr)
-                return 1
-            if engine["cold_path_speedup"] < 5.0:
-                print(f"bench: uop cold-path transfer speedup "
-                      f"{engine['cold_path_speedup']:.2f}x is below the "
-                      "5x target", file=sys.stderr)
-                return 1
     if args.what == "history":
         from repro.obs.history import (
             DEFAULT_WINDOW,
@@ -292,7 +263,7 @@ def main(argv=None) -> int:
 
         payload, text = generate_qa_report(
             campaign=args.campaign, seed=args.seed, jobs=args.jobs,
-            witness_dir=args.witness_dir, engine=args.engine,
+            witness_dir=args.witness_dir,
         )
         print(text)
         if args.qa_out:

@@ -69,9 +69,8 @@ def write_witnesses(report: CampaignReport, directory: str) -> list[str]:
 def generate_qa_report(campaign: str = "quick", seed: int = 2022,
                        jobs: int = 1,
                        witness_dir: str | None = None,
-                       engine: str = "tau",
                        ) -> tuple[dict[str, Any], str]:
-    report = run_campaign(campaign, seed=seed, jobs=jobs, engine=engine)
+    report = run_campaign(campaign, seed=seed, jobs=jobs)
     payload = report.canonical()
     text = render_qa_report(report)
     if witness_dir is not None and not report.gate_ok:

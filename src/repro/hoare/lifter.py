@@ -126,28 +126,14 @@ class LiftResult:
         return text
 
 
-#: Transfer-function engines: τ walked per visit (the reference) vs the
-#: compiled micro-op engine (same semantics, see repro.uop).
-ENGINES = ("tau", "uop")
-
-
-def _step_fn(engine: str):
-    if engine == "tau":
-        return step
-    from repro.uop.interp import uop_step
-
-    return uop_step
-
-
 class _Lifter:
     def __init__(self, binary: Binary, entry: int, trust_data: bool,
                  max_states: int, max_targets: int,
                  timeout_seconds: float | None = None,
                  schedule: Schedule | None = None,
-                 summaries=None, engine: str = "tau"):
+                 summaries=None):
         self.binary = binary
         self.entry = entry
-        self.step = _step_fn(engine)
         #: Optional pointer-summary oracle (duck-typed ``for_internal``/
         #: ``for_external``) refining the call-cleaning havoc.
         self.summaries = summaries
@@ -320,7 +306,7 @@ class _Lifter:
 
         with _phase("transfer"):
             try:
-                successors = self.step(state, instr, self.ctx)
+                successors = step(state, instr, self.ctx)
             except UnsupportedInstruction as exc:
                 self.annotate("unsupported", rip, str(exc))
                 return
@@ -598,7 +584,6 @@ def lift(
     cache: "bool | object | None" = None,
     cache_dir: str | None = None,
     pointer_summaries: bool = False,
-    engine: str = "tau",
 ) -> LiftResult:
     """Lift *binary* starting at *entry* (default: the ELF entry point).
 
@@ -625,16 +610,9 @@ def lift(
     (:mod:`repro.analysis.pointer.feedback`): a context-free phase-1 lift
     is summarized by the interprocedural pointer analysis, then the binary
     is re-lifted with call-site summaries refining the cleaning havoc.
-
-    *engine* selects the transfer function: ``"tau"`` (default, the
-    reference predicate transformer walked per visit) or ``"uop"`` (the
-    compiled micro-op engine of :mod:`repro.uop`).  Both produce
-    verdict-identical results; ``uop`` is the fast cold path.
     """
     if schedule not in SCHEDULE_MODES:
         raise ValueError(f"unknown schedule mode {schedule!r}")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
     from repro.perf import store as _store
 
     lift_store = _store.resolve_store(cache, cache_dir)
@@ -643,13 +621,12 @@ def lift(
             binary, entry=entry, store=lift_store, trust_data=trust_data,
             max_states=max_states, max_targets=max_targets,
             timeout_seconds=timeout_seconds, schedule=schedule,
-            pointer_summaries=pointer_summaries, engine=engine,
+            pointer_summaries=pointer_summaries,
         )
     return lift_uncached(
         binary, entry=entry, trust_data=trust_data, max_states=max_states,
         max_targets=max_targets, timeout_seconds=timeout_seconds,
         schedule=schedule, pointer_summaries=pointer_summaries,
-        engine=engine,
     )
 
 
@@ -663,7 +640,6 @@ def lift_uncached(
     schedule: str = SCC_ORDER,
     pointer_summaries: bool = False,
     summaries=None,
-    engine: str = "tau",
 ) -> LiftResult:
     """The cold path of :func:`lift`: always runs the fixpoint engine.
 
@@ -680,7 +656,6 @@ def lift_uncached(
             binary, entry=entry, trust_data=trust_data,
             max_states=max_states, max_targets=max_targets,
             timeout_seconds=timeout_seconds, schedule=schedule,
-            engine=engine,
         )
     start = time.perf_counter()
     resolved_entry = entry if entry is not None else binary.entry
@@ -697,7 +672,6 @@ def lift_uncached(
             timeout_seconds=timeout_seconds,
             schedule=sched,
             summaries=summaries,
-            engine=engine,
         )
         lifter.run()
         with _phase("finish"):

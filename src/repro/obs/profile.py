@@ -41,12 +41,8 @@ from typing import Any, Iterable
 from repro.obs.tracer import Event, tracer
 
 #: The named pipeline phases, in pipeline order (rendering order).
-#: ``uop.compile``/``uop.exec`` are the micro-op engine's split of the
-#: ``transfer`` phase (they nest inside it, so self-time attribution
-#: stays double-count-free); both count once per symbolic step, so their
-#: counts are deterministic like ``transfer``'s.
-PHASES = ("schedule", "decode", "transfer", "uop.compile", "uop.exec",
-          "resolve", "join", "smt", "finish", "export", "pointer")
+PHASES = ("schedule", "decode", "transfer", "resolve", "join", "smt",
+          "finish", "export", "pointer")
 
 #: Phases whose *count* depends on cache warmth (solver-cache misses) and
 #: is therefore excluded from the canonical (deterministic) profile form.
@@ -342,14 +338,9 @@ def _phase_order(name: str) -> tuple[int, str]:
 
 
 def render_profile(profile: Profile, top: int = 20,
-                   title: str = "Profile",
-                   opcode_stats: dict[str, dict] | None = None) -> str:
+                   title: str = "Profile") -> str:
     """The ``python -m repro profile`` text report: phase self-time table
-    plus the top-*top* per-address cost table.
-
-    *opcode_stats* (``repro.uop.compile.opcode_stats()`` form: mnemonic →
-    ``{"hits", "misses"}``) adds the micro-op engine's per-opcode
-    compile-table hit-rate table, ranked by visit count."""
+    plus the top-*top* per-address cost table."""
     out = io.StringIO()
     wall = profile.wall_seconds
     head = title
@@ -392,20 +383,6 @@ def render_profile(profile: Profile, top: int = 20,
                 f"{row.get('smt_queries', 0):>6} "
                 f"{row.get('annotations', 0):>6} {row.get('rejects', 0):>7}\n"
             )
-    if opcode_stats:
-        visited = [(name, slot) for name, slot in opcode_stats.items()
-                   if slot.get("hits", 0) + slot.get("misses", 0)]
-        visited.sort(key=lambda item: -(item[1].get("hits", 0)
-                                        + item[1].get("misses", 0)))
-        out.write(f"\nTop {min(top, len(visited))} opcodes by uop "
-                  "compile-table traffic:\n")
-        out.write("  opcode         visits   compiles  hit rate\n")
-        for name, slot in visited[:top]:
-            hits = slot.get("hits", 0)
-            misses = slot.get("misses", 0)
-            total = hits + misses
-            out.write(f"  {name:<12} {total:>8} {misses:>10} "
-                      f"{hits / total:>8.1%}\n")
     smt_wall = profile.phases.get("smt", {}).get("self_seconds")
     queries = profile.events.get("smt.query")
     if queries and smt_wall is not None:

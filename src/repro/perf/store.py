@@ -109,9 +109,6 @@ _TRUSTED_MODULES = (
     "repro.isa.instruction",
     "repro.isa.operands",
     "repro.isa.registers",
-    "repro.uop.ir",
-    "repro.uop.compile",
-    "repro.uop.interp",
 )
 
 _source_digests: dict[str, bytes] = {}
@@ -197,7 +194,6 @@ def lift_key(
     timeout_seconds: float | None = None,
     schedule: str = "scc",
     pointer_summaries: bool = False,
-    engine: str = "tau",
 ) -> str:
     """The content address of one lift (hex SHA-256)."""
     resolved_entry = entry if entry is not None else binary.entry
@@ -209,8 +205,7 @@ def lift_key(
         f"|entry={resolved_entry:#x}|trust={int(trust_data)}"
         f"|max_states={max_states}|max_targets={max_targets}"
         f"|timeout={timeout_seconds!r}|schedule={schedule}"
-        f"|summaries={int(pointer_summaries)}"
-        f"|engine={engine}".encode()
+        f"|summaries={int(pointer_summaries)}".encode()
     )
     return h.hexdigest()
 
@@ -495,7 +490,6 @@ def cached_lift(
     timeout_seconds: float | None = None,
     schedule: str = "scc",
     pointer_summaries: bool = False,
-    engine: str = "tau",
 ):
     """Serve the lift from *store*, falling back to the cold path on miss.
 
@@ -514,7 +508,6 @@ def cached_lift(
         binary, entry, trust_data=trust_data, max_states=max_states,
         max_targets=max_targets, timeout_seconds=timeout_seconds,
         schedule=schedule, pointer_summaries=pointer_summaries,
-        engine=engine,
     )
     load_start = time.perf_counter()
     result = store.get(key)
@@ -525,7 +518,6 @@ def cached_lift(
         binary, entry=entry, trust_data=trust_data, max_states=max_states,
         max_targets=max_targets, timeout_seconds=timeout_seconds,
         schedule=schedule, pointer_summaries=pointer_summaries,
-        engine=engine,
     )
     store.put(key, result)
     return result

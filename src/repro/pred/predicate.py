@@ -88,9 +88,9 @@ class Predicate:
 
     def __hash__(self) -> int:
         # Same value the generated frozen-dataclass hash would produce,
-        # cached on first use: the uop engine's transfer memo hashes whole
-        # predicates on every probe, and the field walk (17 register pairs
-        # plus mem regions) is measurable at that frequency.
+        # cached on first use: a predicate is immutable but may be hashed
+        # many times (on its own or inside a hashed state), and the field
+        # walk (17 register pairs plus mem regions) is costly to repeat.
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.regs, self.flags, self.mem, self.clauses))

@@ -245,17 +245,13 @@ class _TrialTask:
     baseline_json: str
     samples: int
     seed: int
-    engine: str = "tau"        # transfer engine trials lift/sweep with
 
 
 def _subject_signature(trial: Trial, binary: Binary | None,
-                       samples: int, seed: int,
-                       engine: str = "tau") -> dict[str, Any]:
+                       samples: int, seed: int) -> dict[str, Any]:
     if trial.target == BATTERY:
-        return {"differential": run_battery(seed, names=list(BATTERY_FORMS),
-                                            engine=engine)}
-    return binary_signature(binary, samples=samples, seed=seed,
-                            engine=engine)
+        return {"differential": run_battery(seed, names=list(BATTERY_FORMS))}
+    return binary_signature(binary, samples=samples, seed=seed)
 
 
 def _summarize(baseline: dict, current: dict, section: str) -> str:
@@ -282,12 +278,10 @@ def _run_trial(task: _TrialTask) -> TrialResult:
     if trial.fault is not None:
         with faults.inject(trial.fault):
             current = _subject_signature(trial, task.binary,
-                                         task.samples, task.seed,
-                                         engine=task.engine)
+                                         task.samples, task.seed)
     else:
         current = _subject_signature(trial, task.binary,
-                                     task.samples, task.seed,
-                                     engine=task.engine)
+                                     task.samples, task.seed)
     diffs = signature_diff(baseline, current)
     killed = bool(diffs)
     killed_by = diffs[0] if diffs else ""
@@ -310,8 +304,8 @@ def _run_trial(task: _TrialTask) -> TrialResult:
     return result
 
 
-def _assemble_tasks(campaign: str, seed: int, samples: int,
-                    engine: str = "tau") -> list[_TrialTask]:
+def _assemble_tasks(campaign: str, seed: int,
+                    samples: int) -> list[_TrialTask]:
     """Build subjects and baselines (fault-free, parent process only)."""
     trials = build_trials(campaign)
 
@@ -353,7 +347,7 @@ def _assemble_tasks(campaign: str, seed: int, samples: int,
                       fault=None, mutation=None, fault_class="control",
                       expect="clean")
         baselines[name] = signature_json(
-            _subject_signature(trial, binary, samples, seed, engine=engine))
+            _subject_signature(trial, binary, samples, seed))
 
     tasks: list[_TrialTask] = []
     for trial in trials:
@@ -364,20 +358,16 @@ def _assemble_tasks(campaign: str, seed: int, samples: int,
         tasks.append(_TrialTask(
             trial=trial, binary=binary,
             baseline_json=baselines[trial.target],
-            samples=samples, seed=seed, engine=engine,
+            samples=samples, seed=seed,
         ))
     return tasks
 
 
 def run_campaign(campaign: str = "quick", seed: int = DEFAULT_SEED,
-                 jobs: int = 1, samples: int = DEFAULT_SAMPLES,
-                 engine: str = "tau") -> CampaignReport:
-    """Run a campaign; deterministic canonical report (see module doc).
-
-    *engine* runs every trial (baselines included) through the selected
-    transfer engine — the uop engine must keep the same kill rate as τ.
-    """
-    tasks = _assemble_tasks(campaign, seed, samples, engine=engine)
+                 jobs: int = 1,
+                 samples: int = DEFAULT_SAMPLES) -> CampaignReport:
+    """Run a campaign; deterministic canonical report (see module doc)."""
+    tasks = _assemble_tasks(campaign, seed, samples)
 
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -33,14 +33,9 @@ DETECTOR_ORDER = ("lift", "sanity", "triples", "lint", "differential")
 
 
 def binary_signature(binary: Binary, samples: int = 4,
-                     seed: int = 2022,
-                     engine: str = "tau") -> dict[str, Any]:
-    """The verdict signature of one binary under the current pipeline.
-
-    *engine* selects the transfer engine; signatures are verdict-level,
-    so fault-free runs produce the same signature under either engine.
-    """
-    result = lift(binary, engine=engine)
+                     seed: int = 2022) -> dict[str, Any]:
+    """The verdict signature of one binary under the current pipeline."""
+    result = lift(binary)
     signature: dict[str, Any] = {
         "lift": {
             "outcome": "lifted" if result.verified else "rejected",
@@ -81,10 +76,9 @@ def binary_signature(binary: Binary, samples: int = 4,
     return signature
 
 
-def battery_signature(seed: int = 2022,
-                      engine: str = "tau") -> dict[str, Any]:
+def battery_signature(seed: int = 2022) -> dict[str, Any]:
     """The signature of the differential pseudo-target: failing forms."""
-    return {"differential": run_battery(seed, engine=engine)}
+    return {"differential": run_battery(seed)}
 
 
 def signature_json(signature: dict[str, Any]) -> str:

@@ -8,7 +8,8 @@ decoder, τ and the emulator agree to support — and builds one tiny program
 per form.  Each program is run in lockstep (concrete CPU step, symbolic τ
 step, relation ``R`` checked), so any drift between
 :mod:`repro.semantics.tau` and :mod:`repro.machine.cpu` fails naming the
-exact instruction that diverged.
+exact instruction that diverged.  :func:`run_form_lifted` checks the same
+run against the form's lifted Hoare graph instead of hand-stepped τ.
 
 Forms that set flags append a ``setcc`` materialization block: flag
 predicates are only indirectly observable through branches and ``setcc``
@@ -624,17 +625,13 @@ def _bind_unknowns(state, cpu: CPU, bindings: dict[str, int]) -> None:
     _satisfy_clauses(state, bindings)
 
 
-def run_form(form: Form, seed: int = 2022,
-             engine: str = "tau") -> str | None:
-    """Run one form in τ/CPU lockstep; None on success, else a description
-    naming the exact instruction that broke the simulation relation.
+def _prepare(form: Form, seed: int):
+    """Build a form's program and a CPU loaded with its seeded operands.
 
-    *engine* selects the symbolic transfer function (``"tau"`` or
-    ``"uop"``), so every form checks τ-vs-uop-vs-concrete with the same
-    simulation relation."""
-    from repro.hoare.lifter import _step_fn
-
-    step_fn = step if engine == "tau" else _step_fn(engine)
+    Returns ``(binary, cpu, regs, variables, read_initial)``: the initial
+    register values, the bindings of the initial-state variables and a
+    reader over the initial memory.
+    """
     rng = random.Random(f"{seed}:{form.name}")
     body, regs = form.build(rng)
     cc = body[1] if isinstance(body, tuple) else None
@@ -658,7 +655,32 @@ def run_form(form: Form, seed: int = 2022,
 
     variables = {f"{reg}0": value for reg, value in cpu.regs.items()}
     variables["ret0"] = read_initial(cpu.regs["rsp"], 8)
+    return binary, cpu, regs, variables, read_initial
 
+
+def _relates(state, cpu: CPU, variables: dict[str, int], read_initial) -> bool:
+    """Whether the symbolic *state* relates to the machine state (``R``)."""
+    bindings = dict(variables)
+    _bind_unknowns(state, cpu, bindings)
+    probe = EvalEnv(variables=bindings, read_mem=read_initial,
+                    registers={**cpu.regs, "rip": cpu.rip})
+    try:
+        return state.pred.holds(probe, read_current=cpu.memory.read) and \
+            model_holds(state.model, probe)
+    except Exception:
+        return False
+
+
+def _emulator_error(form: Form, instr, exc: Exception) -> str | None:
+    # A concrete division trap is unmodelled, not a mismatch.
+    return (f"{form.name}: emulator error on {instr}: {exc}"
+            if "division" not in str(exc) else None)
+
+
+def run_form(form: Form, seed: int = 2022) -> str | None:
+    """Run one form in τ/CPU lockstep; None on success, else a description
+    naming the exact instruction that broke the simulation relation."""
+    binary, cpu, regs, variables, read_initial = _prepare(form, seed)
     ctx = LiftContext(binary)
     states = [initial_state(binary.entry, Var("ret0"))]
     for _ in range(64):
@@ -667,11 +689,10 @@ def run_form(form: Form, seed: int = 2022,
         instr = binary.fetch(cpu.rip)
         try:
             cpu.execute(instr)
-        except Exception as exc:   # unmodelled concrete trap: not a mismatch
-            return (f"{form.name}: emulator error on {instr}: {exc}"
-                    if "division" not in str(exc) else None)
+        except Exception as exc:
+            return _emulator_error(form, instr, exc)
         successors = [succ for state in states
-                      for succ in step_fn(state, instr, ctx)]
+                      for succ in step(state, instr, ctx)]
         if cpu.halted:
             # Return to the sentinel or an explicit terminal: τ must have
             # produced the matching event (RetEvent / TerminalEvent).
@@ -679,20 +700,8 @@ def run_form(form: Form, seed: int = 2022,
                    for succ in successors for event in succ.events):
                 return None
             return f"{form.name}: CPU halted at {instr} without a τ terminal"
-        related = []
-        registers = {**cpu.regs, "rip": cpu.rip}
-        for succ in successors:
-            state = succ.state
-            bindings = dict(variables)
-            _bind_unknowns(state, cpu, bindings)
-            probe = EvalEnv(variables=bindings, read_mem=read_initial,
-                            registers=registers)
-            try:
-                if state.pred.holds(probe, read_current=cpu.memory.read) and \
-                        model_holds(state.model, probe):
-                    related.append(state)
-            except Exception:
-                continue
+        related = [succ.state for succ in successors
+                   if _relates(succ.state, cpu, variables, read_initial)]
         if not related:
             return (f"{form.name}: no related symbolic state after {instr} "
                     f"(args {sorted(regs.items())})")
@@ -700,20 +709,60 @@ def run_form(form: Form, seed: int = 2022,
     return None
 
 
-def run_battery(seed: int = 2022, names: list[str] | None = None,
-                engine: str = "tau") -> list[str]:
+def run_form_lifted(form: Form, seed: int = 2022) -> str | None:
+    """Run one form against its lifted Hoare graph; None on success.
+
+    Where :func:`run_form` steps τ by hand, this lifts the form's program
+    with the Hoare-graph lifter, whose joins and fixpoint sit between τ and
+    the graph, and checks the output: every concrete step must follow a
+    lifted edge to an address where some lifted state relates to the
+    machine state.  Calling-convention verdicts are not checked — the
+    flag-materializing forms clobber callee-saved scratch registers.
+    """
+    from repro.hoare.lifter import lift_uncached
+
+    binary, cpu, regs, variables, read_initial = _prepare(form, seed)
+    graph = lift_uncached(binary).graph
+    lifted: dict[int, set[int]] = {}
+    for edge in graph.edges:
+        if edge.dst[0] == "code":
+            lifted.setdefault(edge.instr_addr, set()).add(edge.dst[1])
+    for _ in range(64):
+        if cpu.halted or cpu.rip == _SENTINEL_RETURN:
+            break
+        src = cpu.rip
+        instr = binary.fetch(src)
+        if not graph.states_at(src):
+            return f"{form.name}: {instr} at {src:#x} executed but not lifted"
+        try:
+            cpu.execute(instr)
+        except Exception as exc:
+            return _emulator_error(form, instr, exc)
+        if cpu.halted or cpu.rip == _SENTINEL_RETURN:
+            break
+        if cpu.rip not in lifted.get(src, ()):
+            return (f"{form.name}: concrete edge {src:#x} -> {cpu.rip:#x} "
+                    f"after {instr} is not lifted")
+        if not any(_relates(state, cpu, variables, read_initial)
+                   for state in graph.states_at(cpu.rip)):
+            return (f"{form.name}: no lifted state at {cpu.rip:#x} relates "
+                    f"after {instr} (args {sorted(regs.items())})")
+    return None
+
+
+def run_battery(seed: int = 2022,
+                names: list[str] | None = None) -> list[str]:
     """Run every form (or the named subset); returns sorted failure strings.
 
     An empty list is the healthy outcome — the campaign driver compares
     this against a fault-free baseline, so any τ/emulator fault that makes
     forms diverge shows up as a non-empty, deterministic failure list.
-    *engine* runs the whole sweep through the selected transfer engine.
     """
     failures = []
     selected = forms() if names is None else \
         [form for form in forms() if form.name in set(names)]
     for form in selected:
-        outcome = run_form(form, seed, engine=engine)
+        outcome = run_form(form, seed)
         if outcome is not None:
             failures.append(outcome)
     return sorted(failures)

@@ -49,6 +49,10 @@ from typing import Any
 #: Worker exit codes the parent folds into diagnostics.
 EXIT_OK = 0
 
+#: Seconds :meth:`WorkerPool.shutdown` lets busy workers finish before
+#: killing them.
+SHUTDOWN_GRACE = 5.0
+
 
 class _CpuBudgetExceeded(Exception):
     pass
@@ -223,16 +227,6 @@ class WorkerHandle:
             pass
         self.proc.join(timeout=5)
 
-    def close(self) -> None:
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.proc.join(timeout=5)
-        if self.proc.is_alive():
-            self.kill()
-        self.conn.close()
-
 
 class WorkerPool:
     """N persistent workers plus the event loop the scheduler blocks on."""
@@ -367,8 +361,21 @@ class WorkerPool:
         }
 
     def shutdown(self) -> None:
-        for worker in list(self.workers):
-            worker.close()
+        """Stop every worker: ask all of them to exit, give them
+        :data:`SHUTDOWN_GRACE` seconds in total to finish their current
+        unit, then kill the rest — one grace for the pool, not one per
+        worker."""
+        for worker in self.workers:
+            try:
+                worker.conn.send(None)
+            except (BrokenPipeError, OSError):
+                pass
+        deadline = time.monotonic() + SHUTDOWN_GRACE
+        for worker in self.workers:
+            worker.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            if worker.proc.is_alive():
+                worker.kill()
+            worker.conn.close()
         self.workers.clear()
         for conn in (self._wake_recv, self._wake_send):
             try:

@@ -176,7 +176,13 @@ class Server:
         return 1 if self._drain_forced else 0
 
     def close(self) -> None:
-        """Immediate teardown (tests); prefer :meth:`begin_drain`."""
+        """Immediate teardown (tests); prefer :meth:`begin_drain`.
+
+        Once started, the scheduler thread owns the pool and shuts it
+        down on its way out, so this waits for that thread rather than
+        racing it: two threads closing the same worker pipes is how a
+        teardown hits ``EBADF``.  The pool is torn down here only if no
+        scheduler ever ran."""
         self._stopped.set()
         with self._lock:
             self._draining = True
@@ -184,10 +190,10 @@ class Server:
         if self._pool is not None:
             self._pool.wake()
         for thread in self._threads:
-            thread.join(timeout=5)
-        if self._pool is not None:
+            thread.join()
+        if self._pool is not None and not self._threads:
             self._pool.shutdown()
-            self._pool = None
+        self._pool = None
         self._close_listener()
 
     def _close_listener(self) -> None:
@@ -215,29 +221,33 @@ class Server:
 
     def _scheduler_loop(self) -> None:
         pool = self._pool
-        while not self._stopped.is_set():
-            with self._lock:
-                self._process_kills_locked()
-                timeout = self._release_and_assign_locked()
-                if self._draining:
-                    if not self._any_work():
-                        break
-                    grace = self.config.drain_grace
-                    if (self._drain_started is not None
-                            and time.monotonic() - self._drain_started
-                            > grace):
-                        self._force_drain_locked()
-                        break
-            events = pool.wait(timeout)
-            with self._lock:
-                for event in events:
-                    if event.kind == "result":
-                        self._on_result_locked(event)
-                    elif event.kind == "died":
-                        self._on_death_locked(event)
-        pool.shutdown()
-        self._close_listener()
-        self._stopped.set()
+        try:
+            while not self._stopped.is_set():
+                with self._lock:
+                    self._process_kills_locked()
+                    timeout = self._release_and_assign_locked()
+                    if self._draining:
+                        if not self._any_work():
+                            break
+                        grace = self.config.drain_grace
+                        if (self._drain_started is not None
+                                and time.monotonic() - self._drain_started
+                                > grace):
+                            self._force_drain_locked()
+                            break
+                events = pool.wait(timeout)
+                with self._lock:
+                    for event in events:
+                        if event.kind == "result":
+                            self._on_result_locked(event)
+                        elif event.kind == "died":
+                            self._on_death_locked(event)
+        finally:
+            # The pool's only teardown (see close()), even if the loop
+            # raised.
+            pool.shutdown()
+            self._close_listener()
+            self._stopped.set()
 
     def _release_and_assign_locked(self) -> float:
         """Move ripe backoff units into the queue, hand queued units to
@@ -607,7 +617,6 @@ class Server:
                                  self.config.default_max_states)
         schedule = options.get("schedule", self.config.schedule)
         pointer_summaries = options.get("pointer_summaries", False)
-        engine = options.get("engine", "tau")
         use_cache = spec.get("cache", self._use_cache) and self._use_cache
         if kind == "lift":
             from repro.elf import load_binary
@@ -624,17 +633,13 @@ class Server:
                 kind="binary", binary=binary, function=None,
                 timeout_seconds=timeout_seconds, max_states=max_states,
                 cache=use_cache, cache_dir=self.config.cache_dir,
-                schedule=schedule, pointer_summaries=pointer_summaries,
-                engine=engine)
+                schedule=schedule, pointer_summaries=pointer_summaries)
             key = None
             if self._store is not None:
-                # lift_key folds the engine, so tau and uop results never
-                # alias in the store or the in-flight dedup table.
                 key = lift_key(binary, max_states=max_states,
                                timeout_seconds=timeout_seconds,
                                schedule=schedule,
-                               pointer_summaries=pointer_summaries,
-                               engine=engine)
+                               pointer_summaries=pointer_summaries)
             return [{"type": "task", "task": task, **budgets}], key
         # corpus
         from repro.corpus import build_corpus
@@ -643,7 +648,7 @@ class Server:
         corpus = build_corpus(spec["scale"])
         tasks = corpus_tasks(corpus, timeout_seconds, max_states,
                              False, 1, use_cache, self.config.cache_dir,
-                             schedule, pointer_summaries, engine)
+                             schedule, pointer_summaries)
         return [{"type": "task", "task": task, **budgets}
                 for task in tasks], None
 

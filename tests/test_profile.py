@@ -240,55 +240,6 @@ def test_render_profile_tables_and_dropped_warning():
     assert "7 events dropped" in text
 
 
-def test_render_profile_opcode_table():
-    profile = Profile(
-        phases={"uop.exec": {"self_seconds": 0.1, "wall_seconds": 0.1,
-                             "count": 5}},
-        addresses={}, events={}, wall_seconds=0.1,
-    )
-    stats = {"add": {"hits": 90, "misses": 2},
-             "mov": {"hits": 400, "misses": 3},
-             "idiv": {"hits": 0, "misses": 1}}
-    text = render_profile(profile, opcode_stats=stats)
-    assert "compile-table" in text
-    # Ranked by traffic: mov (403) before add (92) before idiv (1).
-    assert text.index("mov") < text.index("add") < text.index("idiv")
-    assert "97.8%" in text          # add: 90/92 hit rate
-    # Empty stats render no table at all.
-    assert "compile-table" not in render_profile(profile, opcode_stats={})
-
-
-def test_uop_phases_are_attributed_and_deterministic():
-    # An obs-on uop lift must charge the engine's time to the two uop
-    # phases (nested inside transfer) with per-step counts, and those
-    # counts must survive canonical_profile: they are deterministic, so
-    # serial and worker-pool rollups stay byte-identical.
-    from repro.hoare.lifter import lift_uncached
-
-    binary = compile_source(
-        "long main(long n) { return n + 41; }", name="uop-prof")
-    prior = obs.save_state()
-    obs.reset()
-    obs.enable()
-    try:
-        result = lift_uncached(binary, engine="uop")
-        profile = build_profile(
-            obs.tracer.events(), dict(obs.tracer.counts),
-            phases_snapshot=phases.snapshot(),
-            wall_seconds=result.stats.seconds,
-            sampling=obs.tracer.sampling)
-    finally:
-        obs.restore_state(prior)
-    assert result.verified
-    assert profile.phases["uop.compile"]["count"] > 0
-    assert profile.phases["uop.exec"]["count"] > 0
-    canonical = canonical_profile({"phases": profile.phases,
-                                   "events": profile.events})
-    assert canonical["phases"]["uop.exec"] == \
-        profile.phases["uop.exec"]["count"]
-    assert "uop.exec" not in NONDETERMINISTIC_PHASE_COUNTS
-
-
 @pytest.fixture(scope="module")
 def loop_elf(tmp_path_factory) -> str:
     from repro.elf import save_binary

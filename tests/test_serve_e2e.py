@@ -126,44 +126,6 @@ def test_inflight_duplicate_attaches_as_follower(client, loop_elf):
     assert client.stats()["dedup"]["inflight_attach"] >= 1
 
 
-def test_engines_never_alias_in_the_dedup_layer(client, loop_elf):
-    # Same binary, same budgets, different transfer engine: the lift key
-    # folds the engine, so a uop lift is NOT answered from the tau store
-    # entry (or vice versa) — each engine gets its own worker run and its
-    # own store entry, and the two records agree on the verdict.
-    options = {"timeout_seconds": 30.0, "max_states": 1900}
-    tau = client.submit_lift(loop_elf, options={**options, "engine": "tau"})
-    client.wait(tau["job_id"], timeout=120)
-    uop = client.submit_lift(loop_elf, options={**options, "engine": "uop"})
-    assert uop["source"] == "worker"      # not a store answer
-    client.wait(uop["job_id"], timeout=120)
-    tau_result = client.result(tau["job_id"])["result"]
-    uop_result = client.result(uop["job_id"])["result"]
-    assert uop_result["source"] == "worker"
-    assert tau_result["outcome"] == uop_result["outcome"] == "lifted"
-    assert (tau_result["record"]["instructions"]
-            == uop_result["record"]["instructions"])
-    # Replaying each engine now hits its own store entry.
-    tau_again = client.submit_lift(loop_elf,
-                                   options={**options, "engine": "tau"})
-    uop_again = client.submit_lift(loop_elf,
-                                   options={**options, "engine": "uop"})
-    assert tau_again["source"] == "store"
-    assert uop_again["source"] == "store"
-    assert (client.result(uop_again["job_id"])["result"]["record"]
-            == uop_result["record"])
-
-
-def test_unknown_engine_is_a_schema_error(client, loop_elf):
-    from repro.serve.protocol import ProtocolError
-
-    # Caught client-side: the shared schema rejects unknown engines
-    # before the request ever reaches the socket.
-    with pytest.raises(ProtocolError) as err:
-        client.submit_lift(loop_elf, options={"engine": "jit"})
-    assert err.value.code == "bad-job"
-
-
 def test_tenants_cannot_see_each_others_jobs(daemon, loop_elf):
     with ServeClient(daemon.config.socket_path, tenant="acme",
                      timeout=120.0) as acme:

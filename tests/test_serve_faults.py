@@ -238,3 +238,49 @@ def test_drain_grace_forces_a_stuck_drain(tmp_path):
         assert job.diagnostics[0]["code"] == "drain-timeout"
     finally:
         server.close()
+
+
+# -- teardown --------------------------------------------------------------
+
+def test_close_with_busy_workers_tears_the_pool_down_once(tmp_path):
+    # Close while both workers are inside a long unit.  Busy workers die
+    # only when the pool's shutdown grace runs out, so teardown takes
+    # seconds; if both close() and the scheduler thread shut the pool
+    # down, they close the same worker pipes (EBADF).
+    import threading
+
+    raised = []
+    prior_hook = threading.excepthook
+    threading.excepthook = raised.append
+    config = ServerConfig(socket_path=str(tmp_path / "t.sock"), workers=2,
+                          cache=False, allow_chaos=True)
+    server = Server(config)
+    server.start()
+    try:
+        with ServeClient(config.socket_path, timeout=60.0) as client:
+            for _ in range(2):
+                _submit_chaos(client, "sleep", seconds=120.0)
+            deadline = time.monotonic() + 30
+            while client.stats()["workers"]["busy"] < 2:
+                assert time.monotonic() < deadline, "sleeps never started"
+                time.sleep(0.02)
+        pool = server._pool
+        procs = [worker.proc for worker in pool.workers]
+        threads = list(server._threads)
+        shutdowns = []
+        shutdown = pool.shutdown
+
+        def recording_shutdown():
+            shutdowns.append(threading.current_thread().name)
+            shutdown()
+
+        pool.shutdown = recording_shutdown
+        server.close()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        threading.excepthook = prior_hook
+    assert [args.exc_value for args in raised] == []
+    assert shutdowns == ["repro-serve-scheduler"]
+    assert not any(thread.is_alive() for thread in threads)
+    assert not any(proc.is_alive() for proc in procs)

@@ -117,6 +117,15 @@ def test_unknown_option_field_is_bad_job():
                            "options": {"turbo": True}})
 
 
+def test_schedule_names_mirror_the_lifter():
+    from repro.hoare.schedule import SCHEDULE_MODES
+
+    assert set(protocol.SCHEDULE_NAMES) == set(SCHEDULE_MODES)
+    for schedule in SCHEDULE_MODES:
+        validate_job_spec({"kind": "corpus", "scale": 1,
+                           "options": {"schedule": schedule}})
+
+
 # -- response validation ---------------------------------------------------
 
 def test_response_validation():
@@ -267,6 +276,33 @@ def test_schema_error_keeps_the_connection_open(daemon):
         sock.sendall(encode({"op": "ping"}))
         second = json.loads(reader.readline())
         assert second["ok"] is True
+
+
+def _submit_then_ping(daemon, job: dict) -> dict:
+    """Submit *job* on one connection, then check the same connection
+    still answers a ping; returns the submit response."""
+    with _raw(daemon) as sock:
+        reader = LineReader(sock)
+        sock.sendall(encode({"op": "submit", "job": job}))
+        response = json.loads(reader.readline())
+        sock.sendall(encode({"op": "ping"}))
+        assert json.loads(reader.readline())["ok"] is True
+    return response
+
+
+def test_unknown_schedule_is_bad_job(daemon):
+    # Rejected by the schema, not deep inside a worker's lift call.
+    response = _submit_then_ping(daemon, {
+        "kind": "corpus", "scale": 1, "options": {"schedule": "random"}})
+    assert response["error"]["code"] == "bad-job"
+    assert "unknown schedule" in response["error"]["message"]
+
+
+def test_engine_option_is_an_unknown_field(daemon):
+    response = _submit_then_ping(daemon, {
+        "kind": "corpus", "scale": 1, "options": {"engine": "tau"}})
+    assert response["error"]["code"] == "bad-job"
+    assert "unexpected field 'engine'" in response["error"]["message"]
 
 
 def test_bad_job_spec_gets_structured_error(daemon):
