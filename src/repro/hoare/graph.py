@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from repro.expr import Const
 from repro.isa import Instruction
 from repro.semantics import SymState
+from repro.smt.solver import region_key
 
 #: Vertex key: (rip, cf-immediates) for code, or a sink marker tuple.
 VertexKey = tuple
@@ -44,12 +45,13 @@ def code_key(state: SymState, text_range: tuple[int, int]) -> VertexKey:
     )
     mem_imms = tuple(
         sorted(
-            (str(region), value.value)
+            (region_key(region), value.value)
             for region, value in state.pred.mem
             if is_text(value)
         )
     )
     if mem_imms:
+        # Tree renderings are cached on the (immutable) trees.
         fingerprint = tuple(sorted(str(tree) for tree in state.model.trees))
         return ("code", rip, reg_imms, mem_imms, fingerprint)
     return ("code", rip, reg_imms)

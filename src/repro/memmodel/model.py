@@ -20,7 +20,8 @@ Models are immutable; every operation returns new models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.expr import EvalEnv, EvalError, Expr, evaluate
 from repro.smt.solver import (
@@ -31,12 +32,18 @@ from repro.smt.solver import (
     Relation,
     decide_relation,
     possible_relations,
+    region_key,
 )
 
 
 @dataclass(frozen=True)
 class MemTree:
-    """A node of aliasing regions plus a sub-forest of enclosed children."""
+    """A node of aliasing regions plus a sub-forest of enclosed children.
+
+    The rendering and the representative are cached on first use: trees
+    are immutable, and every forest operation sorts trees by their
+    rendering (the join, insertion, the vertex-key fingerprint).  Pickling
+    keeps only the two fields, so caches never travel between processes."""
 
     regions: frozenset[Region]
     children: frozenset["MemTree"] = frozenset()
@@ -45,6 +52,9 @@ class MemTree:
     def leaf(region: Region) -> "MemTree":
         return MemTree(frozenset({region}))
 
+    def __reduce__(self):
+        return (MemTree, (self.regions, self.children))
+
     def all_regions(self) -> frozenset[Region]:
         out = set(self.regions)
         for child in self.children:
@@ -52,14 +62,38 @@ class MemTree:
         return frozenset(out)
 
     def representative(self) -> Region:
-        return min(self.regions, key=str)
+        return self._representative
+
+    @cached_property
+    def _representative(self) -> Region:
+        return min(self.regions, key=region_key)
 
     def __str__(self) -> str:
-        node = "{" + ", ".join(sorted(map(str, self.regions))) + "}"
+        return self._rendering
+
+    @cached_property
+    def _rendering(self) -> str:
+        node = "{" + ", ".join(sorted(map(region_key, self.regions))) + "}"
         if not self.children:
             return node
         inner = ", ".join(sorted(str(c) for c in self.children))
         return f"{node}⟨{inner}⟩"
+
+    @cached_property
+    def children_disjoint(self) -> bool:
+        return _disjoint_forest(self.children)
+
+
+def _disjoint_forest(trees) -> bool:
+    """No tree is empty and no two sibling trees share a region, at every
+    level: the forests on which :func:`join_models` is idempotent."""
+    seen: set[Region] = set()
+    for tree in trees:
+        if not tree.regions or not seen.isdisjoint(tree.regions) \
+                or not tree.children_disjoint:
+            return False
+        seen.update(tree.regions)
+    return True
 
 
 @dataclass(frozen=True)
@@ -68,6 +102,14 @@ class MemModel:
 
     trees: frozenset[MemTree] = frozenset()
     destroyed: frozenset[Region] = frozenset()
+
+    def __reduce__(self):
+        return (MemModel, (self.trees, self.destroyed))
+
+    @cached_property
+    def disjoint(self) -> bool:
+        """Whether the forest is disjoint (see :func:`_disjoint_forest`)."""
+        return _disjoint_forest(self.trees)
 
     def all_regions(self) -> frozenset[Region]:
         out = set()
@@ -371,9 +413,7 @@ def tree_holds(tree: MemTree, env: EvalEnv) -> bool:
         return False
     for child in tree.children:
         try:
-            child_span = _region_bytes(
-                min(child.regions, key=str), env
-            )
+            child_span = _region_bytes(child.representative(), env)
         except EvalError:
             return False
         if not child_span <= first:
@@ -414,7 +454,17 @@ def join_models(m0: MemModel, m1: MemModel,
     forests.  A class represented on only one side is dropped: the join is
     a *disjunction*, and the other side's states support no claim about
     those regions.  *parent* is set when joining a node's child forests:
-    one-sided children survive only with provable enclosure in it."""
+    one-sided children survive only with provable enclosure in it.
+
+    Equal disjoint models are answered with *m1* — the vertex's current
+    model, so the caller's equality check succeeds by identity.  That is
+    exact: on a disjoint forest every class is one tree present on both
+    sides, its region intersection is the tree's own regions and its child
+    join is again an equal disjoint join, so the join rebuilds the same
+    forest.  (Sibling trees sharing a region would merge into one class
+    and shrink, so such forests take the full path.)"""
+    if (m0 is m1 or m0 == m1) and m1.disjoint:
+        return m1
     distinct = list(m0.trees | m1.trees)
     classes: list[list[MemTree]] = []
     for tree in sorted(distinct, key=str):
@@ -445,7 +495,7 @@ def join_models(m0: MemModel, m1: MemModel,
         children1 = frozenset().union(*(t.children for t in in1))
         child_join = join_models(
             MemModel(children0), MemModel(children1),
-            parent=min(common, key=str),
+            parent=min(common, key=region_key),
         )
         joined.add(MemTree(common, child_join.trees))
 

@@ -135,8 +135,10 @@ def intersect_intervals(term: Expr, clauses) -> Interval:
 
     Memoized on ``(term, clauses)``: clause sets are long-lived frozensets
     whose hashes are cached, and the same term is bounded against the same
-    predicate's clauses thousands of times per join fixpoint."""
-    if type(clauses) is not frozenset:
+    predicate's clauses thousands of times per join fixpoint.  A tuple is
+    taken as is, in its order (a predicate's per-term index slices are
+    tuples in the order of the full clause set)."""
+    if type(clauses) is not frozenset and type(clauses) is not tuple:
         clauses = frozenset(clauses)
     return _intersect_cached(term, clauses)
 

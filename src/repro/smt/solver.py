@@ -151,6 +151,21 @@ def _term_interval(term: Expr, bounds: BoundsProvider) -> Interval:
     return clipped if clipped is not None else width_iv
 
 
+def expr_interval_terms(expr: Expr) -> tuple[Expr, ...]:
+    """Every term :func:`expr_interval` may ask its provider about.
+
+    Callers that memoize an interval computation key it on the bounds of
+    exactly these terms; keep this in step with :func:`_term_interval`."""
+    if isinstance(expr, Const):
+        return ()
+    terms: dict[Expr, None] = {}
+    for term, _ in linearize(expr).terms:
+        terms[term] = None
+        if isinstance(term, App) and term.op == "zext":
+            terms[term.args[0]] = None
+    return tuple(terms)
+
+
 # -- pointer base classification ------------------------------------------------
 
 def pointer_bases(expr: Expr) -> frozenset[Expr]:
@@ -306,10 +321,7 @@ def _fingerprint_terms(a0: Expr, a1: Expr) -> tuple[Expr, ...]:
     same pair is re-queried under many different predicates."""
     terms: set[Expr] = set()
     for expr in (a0, a1, sub(a1, a0), sub(a0, a1)):
-        for term, _ in linearize(expr).terms:
-            terms.add(term)
-            if isinstance(term, App) and term.op == "zext":
-                terms.add(term.args[0])
+        terms.update(expr_interval_terms(expr))
     return tuple(sorted(terms, key=expr_key))
 
 

@@ -262,3 +262,51 @@ def test_prop_join_soundness(v0, v1, concrete, pick_p):
     if isinstance(rax, Var):
         env.variables[rax.name] = chosen_value
     assert joined.holds(env)
+
+
+# -- pickling: caches stay in the process that built them ----------------------------
+
+_PICKLE_STATE = """
+import pickle, sys
+from repro.expr import Var, const
+from repro.pred import Clause
+from repro.semantics.state import initial_state
+state = initial_state(0x401000, Var("ret0"))
+pred = state.pred.with_clause(Clause(Var("join@0x401000@rax"), "leu", const(9)))
+state = state.with_pred(pred)
+# Build every cache the objects carry, so a pickle that kept them shows.
+hash(state); str(state.model)
+pred.bounds_on(Var("join@0x401000@rax")); pred.referenced_names
+[tree.representative() for tree in state.model.trees]
+sys.stdout.write(pickle.dumps(state).hex())
+"""
+
+
+def test_pickled_state_hashes_like_a_fresh_one_in_another_process():
+    import os
+    import pickle
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.semantics.state import initial_state
+
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _PICKLE_STATE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    loaded = pickle.loads(bytes.fromhex(out))
+
+    fresh = initial_state(0x401000, Var("ret0"))
+    fresh = fresh.with_pred(fresh.pred.with_clause(
+        Clause(Var("join@0x401000@rax"), "leu", const(9))))
+    fields = {"regs", "flags", "mem", "clauses"}
+    assert set(vars(loaded.pred)) == fields
+    for tree in loaded.model.trees:
+        assert set(vars(tree)) == {"regions", "children"}
+    assert set(vars(loaded.model)) == {"trees", "destroyed"}
+    assert loaded == fresh
+    assert hash(loaded.pred) == hash(fresh.pred)
+    assert loaded.pred in {fresh.pred}
+    assert loaded in {fresh}
